@@ -30,26 +30,39 @@ Possession (Definition 4.11 via the §6 characterisation): basis attribute
 
 The encoding is cross-checked against the structural implementation in
 :mod:`repro.attributes.lattice` by property tests.
+
+Two more tables let a read travel as masks from its text to its reply
+(Theorem 6.3 reduces every membership, closure and basis read to masks
+checked against ``(X⁺, DepB(X))``): :meth:`BasisEncoding.resolve_dependency`
+/ :meth:`BasisEncoding.resolve_attribute` turn a query text into its
+validated value and masks once, and :meth:`BasisEncoding.describe` turns
+a result mask back into the paper's notation once.  Both are pure
+functions of ``(root, input)``, so no edit of Σ ever invalidates them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
-from .basis import basis_poset
-from .nested import NestedAttribute
-from .subattribute import bottom, is_subattribute, subattributes
+from .basis import basis_poset, basis_size
+from .nested import ListAttr, NestedAttribute, Null, Record
+from .subattribute import bottom, subattributes
 from ..exceptions import NotAnElementError
 
-__all__ = ["BasisEncoding", "EncodingCacheInfo", "iter_bits"]
+__all__ = ["BasisEncoding", "EncodingCacheInfo", "ResolvedQuery", "iter_bits"]
 
 #: Default bound for the pairwise ``pseudo_difference`` cache.  Pairs are
 #: evicted FIFO once the bound is hit, so a long-lived encoding (shell
 #: sessions, servers) cannot grow without limit.
 PAIR_CACHE_MAXSIZE = 8192
 
-#: Default bound for the unary ``complement``/``double_complement`` caches.
+#: Default bound for the unary ``complement``/``double_complement`` caches,
+#: and for the query-resolution and rendering tables.
 UNARY_CACHE_MAXSIZE = 16384
+
+#: The memo tables, in :meth:`BasisEncoding.cache_info` order.
+_OPS = ("complement", "double_complement", "pseudo_difference", "possessed",
+        "resolve", "describe")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -58,6 +71,40 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _element_mask(element: NestedAttribute, root: NestedAttribute) -> int:
+    """``SubB(element)`` as a mask in one walk, or ``-1`` if ``element ≰ root``.
+
+    Decides ``≤`` by Definition 3.4's rules (as
+    :func:`~repro.attributes.subattribute.is_subattribute` does) while it
+    builds the mask in :func:`~repro.attributes.basis.basis_poset`'s
+    indexing: a record's components take consecutive index ranges, and a
+    list's ``L[λ]`` is bit 0 with the lifted element basis shifted above
+    it — so no basis attribute is tested against ``element`` one by one.
+    """
+    if isinstance(root, Record):
+        if (not isinstance(element, Record) or element.label != root.label
+                or element.arity != root.arity):
+            return -1  # λ ≤ a record does not hold either
+        mask = 0
+        offset = 0
+        for component, component_root in zip(element.components,
+                                             root.components):
+            component_mask = _element_mask(component, component_root)
+            if component_mask < 0:
+                return -1
+            mask |= component_mask << offset
+            offset += basis_size(component_root)
+        return mask
+    if isinstance(element, Null):
+        return 0
+    if isinstance(root, ListAttr):
+        if not isinstance(element, ListAttr) or element.label != root.label:
+            return -1
+        inner = _element_mask(element.element, root.element)
+        return -1 if inner < 0 else 1 | inner << 1
+    return 1 if element == root else -1
 
 
 class EncodingCacheInfo(dict):
@@ -72,6 +119,19 @@ class EncodingCacheInfo(dict):
         misses = sum(entry[1] for entry in self.values())
         total = hits + misses
         return hits / total if total else 0.0
+
+
+class ResolvedQuery(NamedTuple):
+    """A query text resolved against the root.
+
+    ``value`` is the validated :class:`~repro.dependencies.dependency.Dependency`
+    (with the masks of its two sides) or the subattribute (with its mask
+    as ``lhs_mask`` and ``rhs_mask = 0``, i.e. λ).
+    """
+
+    value: Any
+    lhs_mask: int
+    rhs_mask: int
 
 
 class BasisEncoding:
@@ -116,6 +176,8 @@ class BasisEncoding:
         "_complement_cache",
         "_dc_cache",
         "_pd_cache",
+        "_resolve_cache",
+        "_describe_cache",
         "_pd_maxsize",
         "_unary_maxsize",
         "_hits",
@@ -174,12 +236,13 @@ class BasisEncoding:
         self._complement_cache: dict[int, int] = {}
         self._dc_cache: dict[int, int] = {}
         self._pd_cache: dict[tuple[int, int], int] = {}
+        # Query text → ResolvedQuery, and element mask → display text.
+        self._resolve_cache: dict[tuple[str, str], ResolvedQuery] = {}
+        self._describe_cache: dict[int, str] = {}
         self._pd_maxsize = PAIR_CACHE_MAXSIZE
         self._unary_maxsize = UNARY_CACHE_MAXSIZE
-        self._hits = {"complement": 0, "double_complement": 0,
-                      "pseudo_difference": 0, "possessed": 0}
-        self._misses = {"complement": 0, "double_complement": 0,
-                        "pseudo_difference": 0, "possessed": 0}
+        self._hits = dict.fromkeys(_OPS, 0)
+        self._misses = dict.fromkeys(_OPS, 0)
 
     def __reduce__(self):
         # Rebuild from the root on unpickling: the tables are derived
@@ -233,12 +296,9 @@ class BasisEncoding:
         cached = self._encode_cache.get(element)
         if cached is not None:
             return cached
-        if not is_subattribute(element, self.root):
+        mask = _element_mask(element, self.root)
+        if mask < 0:
             raise NotAnElementError(f"{element} is not a subattribute of {self.root}")
-        mask = 0
-        for i, candidate in enumerate(self.basis):
-            if is_subattribute(candidate, element):
-                mask |= 1 << i
         self._encode_cache[element] = mask
         return mask
 
@@ -261,6 +321,54 @@ class BasisEncoding:
         self._decode_cache[mask] = element
         self._encode_cache[element] = mask
         return element
+
+    def resolve_dependency(self, dependency: Any) -> ResolvedQuery:
+        """A dependency (``"X -> Y"`` / ``"X ->> Y"`` text or object),
+        validated against the root, with the masks of its sides.
+
+        Texts are parsed once and memoised (FIFO-bounded); parse and
+        validation errors are raised afresh on every call, never cached.
+        """
+        if isinstance(dependency, str):
+            return self._resolve("dependency", dependency)
+        dependency.validate(self.root)
+        return ResolvedQuery(dependency, self.encode(dependency.lhs),
+                             self.encode(dependency.rhs))
+
+    def resolve_attribute(self, attribute: Any) -> ResolvedQuery:
+        """A subattribute (abbreviated text or object) with its mask.
+
+        Memoised like :meth:`resolve_dependency`.
+        """
+        if isinstance(attribute, str):
+            return self._resolve("attribute", attribute)
+        return ResolvedQuery(attribute, self.encode(attribute), 0)
+
+    def _resolve(self, kind: str, text: str) -> ResolvedQuery:
+        key = (kind, text)
+        cache = self._resolve_cache
+        cached = cache.get(key)
+        if cached is not None:
+            self._hits["resolve"] += 1
+            return cached
+        # A parsed side is in Sub(root) by construction, and encode
+        # checks it again, so parsed texts skip Dependency.validate.
+        if kind == "dependency":
+            from ..dependencies.dependency import parse_dependency
+
+            value = parse_dependency(text, self.root)
+            resolved = ResolvedQuery(value, self.encode(value.lhs),
+                                     self.encode(value.rhs))
+        else:
+            from .parser import parse_subattribute
+
+            value = parse_subattribute(text, self.root)
+            resolved = ResolvedQuery(value, self.encode(value), 0)
+        self._misses["resolve"] += 1
+        if len(cache) >= self._unary_maxsize:
+            del cache[next(iter(cache))]
+        cache[key] = resolved
+        return resolved
 
     def index_of(self, basis_attribute: NestedAttribute) -> int:
         """The bit index of a basis attribute."""
@@ -414,12 +522,15 @@ class BasisEncoding:
 
     def cache_info(self) -> EncodingCacheInfo:
         """``{op: (hits, misses, current size, maxsize)}`` for the memo
-        caches of the Brouwerian operations."""
+        caches of the Brouwerian operations and the query-resolution
+        (``resolve``) and rendering (``describe``) tables."""
         sizes = {
             "complement": (len(self._complement_cache), self._unary_maxsize),
             "double_complement": (len(self._dc_cache), self._unary_maxsize),
             "pseudo_difference": (len(self._pd_cache), self._pd_maxsize),
             "possessed": (len(self._possessed_cache), self._unary_maxsize),
+            "resolve": (len(self._resolve_cache), self._unary_maxsize),
+            "describe": (len(self._describe_cache), self._unary_maxsize),
         }
         return EncodingCacheInfo(
             (op, (self._hits[op], self._misses[op]) + sizes[op])
@@ -436,7 +547,8 @@ class BasisEncoding:
         return sum(self._hits.values()), sum(self._misses.values())
 
     def cache_clear(self) -> None:
-        """Drop the operation memo caches and reset their counters.
+        """Drop the memo caches :meth:`cache_info` reports and reset
+        their counters.
 
         The structural tables (``below``/``above``/down-closure tables)
         and the encode/decode caches are kept — they are derived from the
@@ -446,6 +558,8 @@ class BasisEncoding:
         self._dc_cache.clear()
         self._pd_cache.clear()
         self._possessed_cache.clear()
+        self._resolve_cache.clear()
+        self._describe_cache.clear()
         for counter in (self._hits, self._misses):
             for op in counter:
                 counter[op] = 0
@@ -472,10 +586,26 @@ class BasisEncoding:
     # -- display -----------------------------------------------------------
 
     def describe(self, mask: int) -> str:
-        """Human-readable form of an element mask (paper notation)."""
-        from .printer import unparse_abbreviated
+        """The element ``mask`` in the paper's abbreviated notation.
 
-        return unparse_abbreviated(self.decode(mask), self.root)
+        Byte-identical to ``unparse_abbreviated(self.decode(mask), root)``
+        without its ``≤ root`` check: a down-closed mask denotes an
+        element of ``Sub(root)`` by construction.  Memoised (FIFO-bounded),
+        since a served basis read renders the same members every time.
+        """
+        cache = self._describe_cache
+        cached = cache.get(mask)
+        if cached is not None:
+            self._hits["describe"] += 1
+            return cached
+        self._misses["describe"] += 1
+        from .printer import abbreviate
+
+        text = abbreviate(self.decode(mask), self.root)
+        if len(cache) >= self._unary_maxsize:
+            del cache[next(iter(cache))]
+        cache[mask] = text
+        return text
 
     def __repr__(self) -> str:
         return f"BasisEncoding(root={self.root}, size={self.size})"

@@ -19,7 +19,7 @@ from .nested import Flat, ListAttr, NestedAttribute, Null, Record
 from .subattribute import bottom, is_subattribute
 from ..exceptions import NotASubattributeError
 
-__all__ = ["unparse", "unparse_abbreviated", "LAMBDA"]
+__all__ = ["unparse", "unparse_abbreviated", "abbreviate", "LAMBDA"]
 
 #: The glyph used for the null attribute; the parser also accepts "lambda".
 LAMBDA = "λ"
@@ -70,17 +70,19 @@ def unparse_abbreviated(element: NestedAttribute, root: NestedAttribute) -> str:
     """
     if not is_subattribute(element, root):
         raise NotASubattributeError(f"{unparse(element)} is not a subattribute of {unparse(root)}")
-    return _abbreviate(element, root)
+    return abbreviate(element, root)
 
 
-def _abbreviate(element: NestedAttribute, root: NestedAttribute) -> str:
+def abbreviate(element: NestedAttribute, root: NestedAttribute) -> str:
+    """:func:`unparse_abbreviated` for an ``element`` already known to be
+    in ``Sub(root)`` (the check is the caller's)."""
     if isinstance(element, Null):
         return LAMBDA
     if isinstance(element, Flat):
         return element.name
     if isinstance(element, ListAttr):
         assert isinstance(root, ListAttr)
-        return f"{element.label}[{_abbreviate(element.element, root.element)}]"
+        return f"{element.label}[{abbreviate(element.element, root.element)}]"
     if isinstance(element, Record):
         assert isinstance(root, Record)
         if element == bottom(root):
@@ -88,11 +90,11 @@ def _abbreviate(element: NestedAttribute, root: NestedAttribute) -> str:
         pairs = list(zip(element.components, root.components))
         if _heads_unambiguous(root):
             shown = [
-                _abbreviate(component, component_root)
+                abbreviate(component, component_root)
                 for component, component_root in pairs
                 if component != bottom(component_root)
             ]
         else:
-            shown = [_abbreviate(component, component_root) for component, component_root in pairs]
+            shown = [abbreviate(component, component_root) for component, component_root in pairs]
         return f"{element.label}({', '.join(shown)})"
     raise TypeError(f"not a nested attribute: {element!r}")  # pragma: no cover

@@ -139,9 +139,15 @@ class ClosureResult:
         return masks
 
     def dependency_basis(self) -> tuple[NestedAttribute, ...]:
-        """The dependency basis as attributes, deterministically ordered."""
-        masks = sorted(self.dependency_basis_masks())
-        return tuple(self.encoding.decode(mask) for mask in masks)
+        """The dependency basis as attributes, ordered by mask (cached
+        like :meth:`dependency_basis_masks`)."""
+        cached = self.__dict__.get("_depb")
+        if cached is None:
+            decode = self.encoding.decode
+            cached = tuple(decode(mask)
+                           for mask in sorted(self.dependency_basis_masks()))
+            self.__dict__["_depb"] = cached
+        return cached
 
     # -- membership tests (Proposition 4.10) -------------------------------
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping
 
 from ..attributes.printer import unparse_abbreviated
-from ..dependencies.dependency import Dependency, FunctionalDependency
+from ..dependencies.dependency import Dependency
 from ..obs import get_observer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -339,21 +339,6 @@ class Command:
                 for key in (f.name for f in cls.spec.result)
                 if key in result], 0
 
-    # -- shared parsing helpers (session-scope commands) -------------------
-
-    @staticmethod
-    def _dependency(session: "Session",
-                    dependency: "Dependency | str") -> Dependency:
-        parsed = (session.dependency(dependency)
-                  if isinstance(dependency, str) else dependency)
-        parsed.validate(session.root)
-        return parsed
-
-    @staticmethod
-    def _attribute_mask(session: "Session", x: Any) -> int:
-        attribute = session.attribute(x) if isinstance(x, str) else x
-        return session.encoding.encode(attribute)
-
 
 def wire_ops() -> frozenset[str]:
     """The wire-exposed operation set (what ``protocol.OPS`` is)."""
@@ -531,7 +516,7 @@ class Add(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        added = session.add(self._dependency(session, self.dependency))
+        added = session.add(self.dependency)
         return Outcome({"added": added, "sigma": len(session)},
                        mutated=added, value=added)
 
@@ -561,7 +546,7 @@ class Retract(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        removed = session.retract(self._dependency(session, self.dependency))
+        removed = session.retract(self.dependency)
         return Outcome(
             {"retracted": removed.display(session.root),
              "sigma": len(session)},
@@ -592,12 +577,13 @@ class Implies(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        verdict = session.implies(self._dependency(session, self.dependency))
+        query = session.encoding.resolve_dependency(self.dependency)
+        verdict = session.implies_mask(query.lhs_mask, query.rhs_mask,
+                                       fd=query.value.is_fd)
         return Outcome({"implied": verdict}, value=verdict)
 
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
-        dependency = self._dependency(session, self.dependency)
-        return (session.encoding.encode(dependency.lhs),)
+        return (session.encoding.resolve_dependency(self.dependency).lhs_mask,)
 
     @classmethod
     def render(cls, result: dict[str, Any]) -> tuple[list[str], int]:
@@ -625,12 +611,13 @@ class ImpliesBatch(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        queries = self._queries(session)
+        resolve = session.encoding.resolve_dependency
+        queries = [resolve(dependency) for dependency in self.dependencies]
         obs = get_observer()
         verdicts: list[bool] = []
         for index, (dependency, lhs_mask, rhs_mask) in enumerate(queries):
             ctx.check_deadline()
-            is_fd = isinstance(dependency, FunctionalDependency)
+            is_fd = dependency.is_fd
             if obs.enabled:
                 with obs.span("batch.query", index=index,
                               kind="fd" if is_fd else "mvd",
@@ -642,15 +629,6 @@ class ImpliesBatch(Command):
             verdicts.append(verdict)
         return Outcome({"verdicts": verdicts}, value=verdicts)
 
-    def _queries(self, session: "Session"
-                 ) -> list[tuple[Dependency, int, int]]:
-        encode = session.encoding.encode
-        queries = []
-        for dependency in self.dependencies:
-            parsed = self._dependency(session, dependency)
-            queries.append((parsed, encode(parsed.lhs), encode(parsed.rhs)))
-        return queries
-
     @staticmethod
     def _verdict(session: "Session", is_fd: bool, lhs_mask: int,
                  rhs_mask: int) -> bool:
@@ -659,12 +637,9 @@ class ImpliesBatch(Command):
                 else result.implies_mvd_rhs(rhs_mask))
 
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
-        encode = session.encoding.encode
-        seen: dict[int, None] = {}
-        for dependency in self.dependencies:
-            seen.setdefault(encode(self._dependency(session,
-                                                    dependency).lhs))
-        return tuple(seen)
+        resolve = session.encoding.resolve_dependency
+        return tuple(dict.fromkeys(resolve(dependency).lhs_mask
+                                   for dependency in self.dependencies))
 
     @classmethod
     def render(cls, result: dict[str, Any]) -> tuple[list[str], int]:
@@ -694,14 +669,16 @@ class Closure(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        result = session.result_for_mask(self._attribute_mask(session, self.x))
+        encoding = session.encoding
+        result = session.result_for_mask(
+            encoding.resolve_attribute(self.x).lhs_mask)
         return Outcome(
-            {"closure": unparse_abbreviated(result.closure, session.root),
+            {"closure": encoding.describe(result.closure_mask),
              "passes": result.passes},
             value=result)
 
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
-        return (self._attribute_mask(session, self.x),)
+        return (session.encoding.resolve_attribute(self.x).lhs_mask,)
 
     @classmethod
     def render(cls, result: dict[str, Any]) -> tuple[list[str], int]:
@@ -727,15 +704,17 @@ class Basis(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        result = session.result_for_mask(self._attribute_mask(session, self.x))
-        members = result.dependency_basis()
+        encoding = session.encoding
+        result = session.result_for_mask(
+            encoding.resolve_attribute(self.x).lhs_mask)
+        # dependency_basis() orders its members by mask, as here
         return Outcome(
-            {"basis": [unparse_abbreviated(member, session.root)
-                       for member in members]},
-            value=members)
+            {"basis": [encoding.describe(mask) for mask
+                       in sorted(result.dependency_basis_masks())]},
+            value=result.dependency_basis())
 
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
-        return (self._attribute_mask(session, self.x),)
+        return (session.encoding.resolve_attribute(self.x).lhs_mask,)
 
     @classmethod
     def render(cls, result: dict[str, Any]) -> tuple[list[str], int]:
@@ -869,7 +848,7 @@ class IsRedundant(Command):
         from .membership import is_redundant
 
         session = ctx.session
-        dependency = self._dependency(session, self.dependency)
+        dependency = session.encoding.resolve_dependency(self.dependency).value
         # No session= here: is_redundant retracts/re-adds while probing,
         # which must happen on a scratch session, not the served one.
         verdict = is_redundant(session.sigma, dependency,
@@ -911,7 +890,7 @@ class Trace(Command):
         session = ctx.session
         recorder = TraceRecorder()
         compute_closure(session.encoding,
-                        self._attribute_mask(session, self.x),
+                        session.encoding.resolve_attribute(self.x).lhs_mask,
                         session.sigma, trace=recorder)
         return Outcome({"trace": recorder.render()}, value=recorder)
 

@@ -45,13 +45,12 @@ from typing import Iterable
 
 from ..attributes.encoding import BasisEncoding
 from ..attributes.nested import NestedAttribute
-from ..attributes.parser import parse_attribute, parse_subattribute
+from ..attributes.parser import parse_attribute
 from ..attributes.printer import unparse
 from ..dependencies.dependency import (
     Dependency,
     FunctionalDependency,
     MultivaluedDependency,
-    parse_dependency,
 )
 from ..dependencies.sigma import DependencySet
 from ..obs import get_observer
@@ -213,16 +212,22 @@ class Session:
     # -- parsing helpers -----------------------------------------------------
 
     def attribute(self, x: NestedAttribute | str) -> NestedAttribute:
-        """Resolve (possibly abbreviated) subattribute notation."""
+        """Resolve (possibly abbreviated) subattribute notation.
+
+        Texts resolve through the encoding's memo table
+        (:meth:`BasisEncoding.resolve_attribute`), so each distinct text
+        is parsed once.
+        """
         if isinstance(x, NestedAttribute):
             return x
-        return parse_subattribute(x, self.root)
+        return self.encoding.resolve_attribute(x).value
 
     def dependency(self, dependency: Dependency | str) -> Dependency:
-        """Parse one ``"X -> Y"`` / ``"X ->> Y"`` dependency."""
+        """Parse one ``"X -> Y"`` / ``"X ->> Y"`` dependency (memoised
+        like :meth:`attribute`)."""
         if isinstance(dependency, (FunctionalDependency, MultivaluedDependency)):
             return dependency
-        return parse_dependency(dependency, self.root)
+        return self.encoding.resolve_dependency(dependency).value
 
     # -- Σ views -------------------------------------------------------------
 
@@ -283,8 +288,7 @@ class Session:
         (``sigma_keys``) and the next query against it warm-starts the
         fixpoint with the missing dependencies as the pending worklist.
         """
-        dependency = self.dependency(dependency)
-        dependency.validate(self.root)
+        dependency = self.encoding.resolve_dependency(dependency).value
         if dependency in self._dep_set:
             return False
         self._deps.append(dependency)
@@ -401,7 +405,7 @@ class Session:
 
     def result_for(self, x: NestedAttribute | str) -> ClosureResult:
         """The (cached, possibly warm-started) result for left-hand side ``x``."""
-        return self.result_for_mask(self.encoding.encode(self.attribute(x)))
+        return self.result_for_mask(self.encoding.resolve_attribute(x).lhs_mask)
 
     def result_for_mask(self, mask: int) -> ClosureResult:
         """Mask-level :meth:`result_for` (the batch API's entry point)."""
@@ -548,18 +552,20 @@ class Session:
 
     def implies(self, dependency: Dependency | str) -> bool:
         """Decide ``Σ ⊨ σ`` using the per-LHS cache (Proposition 4.10)."""
-        dependency = self.dependency(dependency)
-        dependency.validate(self.root)
-        rhs_mask = self.encoding.encode(dependency.rhs)
-        if isinstance(dependency, FunctionalDependency):
+        query = self.encoding.resolve_dependency(dependency)
+        return self.implies_mask(query.lhs_mask, query.rhs_mask,
+                                 fd=query.value.is_fd)
+
+    def implies_mask(self, lhs_mask: int, rhs_mask: int, *, fd: bool) -> bool:
+        """Mask-level :meth:`implies` for ``X → Y`` (``fd``) or ``X ↠ Y``."""
+        if fd:
             # Σ ⊨ X → Y iff Y ≤ X⁺: closure-derived, interval-eligible.
-            lhs_mask = self.encoding.encode(dependency.lhs)
             return rhs_mask & ~self.closure_mask_for(lhs_mask) == 0
-        return self.result_for(dependency.lhs).implies_mvd_rhs(rhs_mask)
+        return self.result_for_mask(lhs_mask).implies_mvd_rhs(rhs_mask)
 
     def closure(self, x: NestedAttribute | str) -> NestedAttribute:
         """The attribute-set closure ``X⁺``."""
-        mask = self.encoding.encode(self.attribute(x))
+        mask = self.encoding.resolve_attribute(x).lhs_mask
         return self.encoding.decode(self.closure_mask_for(mask))
 
     def dependency_basis(self, x: NestedAttribute | str
@@ -569,7 +575,7 @@ class Session:
 
     def is_superkey(self, x: NestedAttribute | str) -> bool:
         """Whether ``Σ ⊨ X → N``."""
-        mask = self.encoding.encode(self.attribute(x))
+        mask = self.encoding.resolve_attribute(x).lhs_mask
         return self.closure_mask_for(mask) == self.encoding.full
 
     def implied_mvd_rhs_masks(self, x: NestedAttribute | str) -> frozenset[int]:

@@ -276,6 +276,12 @@ class ManagedSession:
         return self._plan_blob
 
 
+#: LRU bound on each served session's result cache (cached left-hand
+#: sides, ~15 KB each at |N| = 64), so a long-lived session's memory is
+#: bounded whatever stream of distinct left-hand sides it is asked.
+SESSION_CACHE_MAXSIZE = 4096
+
+
 class SessionManager:
     """Named sessions with LRU + idle-TTL eviction.
 
@@ -317,7 +323,8 @@ class SessionManager:
             )
         try:
             root = parse_attribute(schema) if isinstance(schema, str) else schema
-            session = Session(root, dependencies, engine=engine)
+            session = Session(root, dependencies, engine=engine,
+                              maxsize=SESSION_CACHE_MAXSIZE)
         except ProtocolError:
             raise
         except (ReproError, ValueError) as error:

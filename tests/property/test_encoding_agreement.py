@@ -14,7 +14,8 @@ from repro.attributes import (
     meet,
     pseudo_difference,
 )
-from repro.attributes.basis import is_possessed_by
+from repro.attributes import BasisEncoding
+from repro.attributes.basis import basis_of_element, is_possessed_by
 from tests.strategies import roots_with_element_pairs, roots_with_elements
 
 SETTINGS = settings(max_examples=120, deadline=None)
@@ -80,4 +81,9 @@ def test_possessed_agrees(case):
 @given(roots_with_elements())
 def test_encode_decode_roundtrip(case):
     root, enc, (x,) = case
-    assert enc.encode(enc.decode(x)) == x
+    element = enc.decode(x)
+    assert enc.encode(element) == x
+    # A fresh encoding has no decode-side memo, so encode computes the
+    # mask; it must be SubB(element), tested member by member.
+    reference = sum(1 << enc.index_of(b) for b in basis_of_element(root, element))
+    assert BasisEncoding(root).encode(element) == reference == x

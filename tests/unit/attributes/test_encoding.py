@@ -8,6 +8,7 @@ from repro.attributes import (
     complement as struct_complement,
     double_complement as struct_double_complement,
     is_possessed_by,
+    is_subattribute,
     iter_bits,
     join as struct_join,
     meet as struct_meet,
@@ -69,6 +70,23 @@ class TestConversions:
         enc = BasisEncoding(p("R(A, B)"))
         with pytest.raises(NotAnElementError):
             enc.encode(p("A"))
+
+    @pytest.mark.parametrize("foreign", [
+        "λ",                     # λ ≤ a record does not hold
+        "S(A, B, M[K(C, D)])",   # record label
+        "R(A, B)",               # record arity
+        "R(A, E, M[K(C, D)])",   # flat name
+        "R(A, B, N[K(C, D)])",   # list label
+        "R(A, B, M[J(C, D)])",   # record label inside a list
+        "R(A, B, M[C])",         # list element kind
+        "R(A, B, M[K(C, D, D)])",  # record arity inside a list
+    ])
+    def test_encode_rejects_each_mismatch(self, foreign):
+        root = p("R(A, B, M[K(C, D)])")
+        element = p(foreign)
+        assert not is_subattribute(element, root)
+        with pytest.raises(NotAnElementError):
+            BasisEncoding(root).encode(element)
 
     def test_decode_rejects_non_downclosed(self):
         enc = BasisEncoding(p("L[A]"))

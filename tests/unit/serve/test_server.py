@@ -7,8 +7,13 @@ suite needs no pytest-asyncio plugin and can poke at server internals
 
 import asyncio
 import json
+import random
 
 import pytest
+
+from repro.attributes import BasisEncoding
+from repro.core import commands
+from repro.core.session import Session
 
 from repro.serve import (
     AsyncClient,
@@ -18,7 +23,9 @@ from repro.serve import (
     ServerError,
     SessionManager,
 )
+from repro.serve import server as server_module
 from repro.serve.protocol import ProtocolError
+from repro.workloads import mixed_family, random_sigma
 
 SCHEMA = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])"
 MVD = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])"
@@ -116,6 +123,35 @@ class TestSessionManager:
         assert manager.is_current(replaced)
         assert not manager.is_current(second)
         assert not manager.is_current(first)
+
+    def test_served_result_cache_is_bounded(self, monkeypatch):
+        """More distinct left-hand sides than the bound: the cache stays
+        within it, and every answer equals an unbounded session's."""
+        manager = SessionManager(max_sessions=4)
+        assert manager.open("a", SCHEMA).session.maxsize == \
+            server_module.SESSION_CACHE_MAXSIZE
+        monkeypatch.setattr(server_module, "SESSION_CACHE_MAXSIZE", 6)
+        root = mixed_family(2)
+        encoding = BasisEncoding(root)
+        sigma = [dependency.display(root) for dependency in random_sigma(
+            random.Random(3), encoding, 6)]
+        for restored in (False, True):
+            if restored:
+                managed = manager.restore("b", str(root), sigma, epoch=90,
+                                          generation=4)
+            else:
+                managed = manager.open("b", str(root), sigma, replace=True)
+            session = managed.session
+            unbounded = Session(root, sigma)
+            masks = list(encoding.all_elements())[:40]
+            for mask in masks + masks[::-1]:
+                x = encoding.describe(mask)
+                for op in ("closure", "basis"):
+                    command = commands.from_wire(op, {"session": "b", "x": x})
+                    assert commands.execute(command, session).result == \
+                        commands.execute(command, unbounded).result
+                assert session.cache_info().computed <= 6
+            assert session.cache_info().evictions > 0
 
 
 class TestServerOps:
